@@ -17,8 +17,8 @@ from .invariants import (BettiTable, InvariantReport, SimplicialComplex,
                          betti_table, h_polynomial, hilbert_numerator,
                          hilbert_series_coeffs, invariant_report,
                          krull_dimension, kunneth_convolution, lcm_lattice,
-                         minimalize, reduced_homology_dims,
-                         reg_via_h_polynomial, upper_koszul_complex)
+                         reduced_homology_dims, reg_via_h_polynomial,
+                         upper_koszul_complex)
 from .taylor import taylor_betti_table
 from .family import (DepthRangeResult, DistributiveLattice, ExplorationResult,
                      FamilyInstance, VerificationReport, build_family,

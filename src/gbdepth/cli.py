@@ -3,7 +3,7 @@
 Subcommands: gb, initial, invariants, verify, explore, hibi. Exit codes:
 0 success (for verify: all checks passed), 1 verification failed, 2 bad
 input (parse/order/lattice errors, missing files), 3 budget exceeded,
-4 internal invariant violation.
+4 internal invariant violation or internal error.
 
 Structured output (--format structured) is a single JSON object with
 sorted keys and deterministic list orders, so identical invocations are
@@ -59,6 +59,17 @@ def _budgets(args):
     return pairs, lattice
 
 
+def _read_file_or_none(value, kind):
+    """Contents of the file an --ideal value names, or None for inline text;
+    a value that looks like a path but names no file is an error."""
+    path = Path(value)
+    if path.is_file():
+        return path.read_text()
+    if value.endswith((".ideal", ".lattice", ".txt")) or os.sep in value:
+        raise InputError(f"{kind} file not found: {value}")
+    return None
+
+
 def _load_ideal(args):
     """Resolve --d (family instance) or --ideal (file path, else inline
     text with ';' separators, which needs --n)."""
@@ -66,11 +77,9 @@ def _load_ideal(args):
         return build_family(args.d).ideal
     if getattr(args, "ideal", None) is None:
         raise InputError("need --d or --ideal")
-    path = Path(args.ideal)
-    if path.is_file():
-        return parse_ideal_text(path.read_text())
-    if args.ideal.endswith((".ideal", ".txt")) or os.sep in args.ideal:
-        raise InputError(f"ideal file not found: {args.ideal}")
+    text = _read_file_or_none(args.ideal, "ideal")
+    if text is not None:
+        return parse_ideal_text(text)
     if getattr(args, "n", None) is None:
         raise InputError("inline --ideal text needs --n")
     return parse_inline_ideal(args.ideal, args.n)
@@ -184,11 +193,9 @@ def cmd_verify(args) -> int:
     if args.d is None:
         raise InputError("verify needs --d")
     pairs, lattice = _budgets(args)
-    cross = args.d <= 2  # direct-route cross-check is cheap there
     if args.r is not None:
         rep = verify_one(args.d, args.r, misprinted=args.paper_literal,
-                         cross_check_direct=cross, pair_budget=pairs,
-                         lattice_budget=lattice)
+                         pair_budget=pairs, lattice_budget=lattice)
         ok = rep.passed
         lines = [_verify_row(rep)]
         for f in rep.claimed_failures:
@@ -200,8 +207,8 @@ def cmd_verify(args) -> int:
         _emit(args, lines, payload)
         return 0 if ok else 1
     result = verify_depth_range(args.d, misprinted=args.paper_literal,
-                                cross_check_direct=cross, pair_budget=pairs,
-                                lattice_budget=lattice, jobs=args.jobs)
+                                pair_budget=pairs, lattice_budget=lattice,
+                                jobs=args.jobs)
     lines = [f"d={args.d} paper_literal={'yes' if args.paper_literal else 'no'}"]
     for rep in result.reports:
         lines.append(_verify_row(rep))
@@ -276,8 +283,9 @@ def cmd_hibi(args) -> int:
     if args.ideal is None:
         raise InputError("hibi needs --ideal pointing at a lattice file "
                          "(or inline text with ';' line separators)")
-    path = Path(args.ideal)
-    text = path.read_text() if path.is_file() else args.ideal.replace(";", "\n")
+    text = _read_file_or_none(args.ideal, "lattice")
+    if text is None:
+        text = args.ideal.replace(";", "\n")
     elements, covers = parse_lattice_text(text)
     D = DistributiveLattice.from_covers(elements, covers)
     ideal = join_meet_ideal(D)
@@ -416,6 +424,9 @@ def main(argv=None) -> int:
         return 3
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 4
+    except (RecursionError, AssertionError, MemoryError) as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
 
 

@@ -81,7 +81,6 @@ class GroebnerBasis:
     ring: PolyRing
     order: MonomialOrder
     elements: tuple
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.elements)
@@ -132,7 +131,7 @@ def buchberger(ideal, order: MonomialOrder,
     order = validate_order(order, ring.n)
     G = list(ideal.generators)
     if not G:
-        return GroebnerBasis(ring, order, (), True)
+        return GroebnerBasis(ring, order, ())
     lead = [g.leading_term(order) for g in G]
     pending = {(i, j) for j in range(len(G)) for i in range(j)}
     reductions = 0
@@ -165,7 +164,7 @@ def buchberger(ideal, order: MonomialOrder,
             lead.append(h.leading_term(order))
             t = len(G) - 1
             pending.update((k, t) for k in range(t))
-    return GroebnerBasis(ring, order, _reduce_basis(G, order), True)
+    return GroebnerBasis(ring, order, _reduce_basis(G, order))
 
 
 def initial_ideal(G: GroebnerBasis) -> MonomialIdeal:
@@ -193,19 +192,20 @@ class GBVerification:
     failures: tuple
 
 
-def verify_gb(claimed, ideal: Ideal, order: MonomialOrder,
-              pair_budget: int = DEFAULT_PAIR_BUDGET) -> GBVerification:
-    """Check that the claimed set is a Groebner basis of the ideal.
+def verify_gb(claimed, ideal: Ideal, reference: GroebnerBasis) -> GBVerification:
+    """Check that the claimed set is a Groebner basis of the ideal under the
+    reference basis's order.
 
-    Three independent checks, all run even after a failure so every defect
-    is reported: (a) each S-polynomial of the claimed set reduces to zero
-    against it, (b) each ideal generator reduces to zero against it, and
-    (c) each claimed element really lies in the ideal (normal form against
-    a freshly computed reference basis).
+    The reference must be a Groebner basis of the same ideal, such as the
+    one buchberger returns. Three independent checks, all run even after a
+    failure so every defect is reported: (a) each S-polynomial of the
+    claimed set reduces to zero against it, (b) each ideal generator
+    reduces to zero against it, and (c) each claimed element really lies in
+    the ideal (normal form against the reference basis).
     """
     from .parsing import format_polynomial
 
-    order = validate_order(order, ideal.ring.n)
+    order = reference.order
     claimed = list(claimed)
     failures = []
     live = []
@@ -230,7 +230,6 @@ def verify_gb(claimed, ideal: Ideal, order: MonomialOrder,
                 "generator",
                 f"ideal generator {format_polynomial(g, order)} leaves remainder "
                 f"{format_polynomial(rem, order)}"))
-    reference = buchberger(ideal, order, pair_budget)
     for p in live:
         if not ideal_member(p, reference):
             failures.append(GBFailure(

@@ -4,12 +4,13 @@ Betti numbers come from simplicial homology of upper Koszul complexes at
 the multidegrees of the lcm lattice; depth via the Auslander-Buchsbaum
 formula (depth = n - pd), regularity as max(|a| - i) over nonzero
 beta_{i,a}, Krull dimension from minimal vertex covers of the generator
-supports, Hilbert series by the pivot-colon recursion. A block splitting
-(Kunneth) path assembles invariants of variable-disjoint pieces.
+supports, Hilbert series by the pivot-colon recursion. A report splits
+the ideal into variable-disjoint pieces and combines their invariants.
 
-Every report runs structural cross-checks (Euler characteristic of the
-Betti table against the Hilbert numerator, pole order against dimension)
-and raises InternalInvariantError when two routes disagree.
+Every report runs structural cross-checks on each piece (Euler
+characteristic of the Betti table against the Hilbert numerator, pole
+order against codimension) and raises InternalInvariantError when two
+routes disagree.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 from .errors import (BudgetExceededError, InternalInvariantError,
                      NotCohenMacaulayError, RingMismatchError)
@@ -26,11 +28,6 @@ from .rings import (MonomialIdeal, QQ, format_mono, mono_degree, mono_div,
                     unit_mono, mono_is_unit)
 
 DEFAULT_LATTICE_BUDGET = 200_000
-
-
-def minimalize(n: int, gens) -> MonomialIdeal:
-    """Unique minimal generating set of the monomial ideal spanned by gens."""
-    return MonomialIdeal(n, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +227,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.faces
 
-    def dim(self) -> int:
-        if self.is_void:
-            raise ValueError("void complex has no dimension")
-        return max(len(f) for f in self.faces) - 1
-
 
 def upper_koszul_complex(J: MonomialIdeal, a) -> SimplicialComplex:
     """Faces are the squarefree sigma inside supp(a) with x^a / x^sigma in J.
@@ -392,27 +384,17 @@ def support_components(J: MonomialIdeal) -> list:
                     frontier.append(other)
         unassigned -= group
         comps.append(sorted(group))
-    comps.sort(key=lambda idxs: min(min(supports[i]) for i in idxs) if idxs else 0)
+    comps.sort(key=lambda idxs: min((v for i in idxs for v in supports[i]), default=0))
     return [MonomialIdeal(J.n, [gens[i] for i in idxs]) for idxs in comps]
 
 
-def betti_table(J: MonomialIdeal, field=QQ, split: bool = True,
+def betti_table(J: MonomialIdeal, field=QQ,
                 lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> BettiTable:
     """Multigraded Betti numbers of S/J via upper Koszul homology at lcm
-    lattice degrees. With split=True, variable-disjoint generator blocks are
-    resolved separately and assembled by Kunneth convolution."""
+    lattice degrees, on the whole ideal at once (the direct route)."""
     if J.is_unit:
         raise ValueError("unit ideal: the quotient is the zero ring")
     unit = unit_mono(J.n)
-    if split:
-        comps = support_components(J)
-        if len(comps) > 1:
-            acc = BettiTable(J.n, {(0, unit): 1})
-            for comp in comps:
-                acc = kunneth_convolution(
-                    acc, betti_table(comp, field=field, split=False,
-                                     lattice_budget=lattice_budget))
-            return acc
     entries = {(0, unit): 1}
     for a in lcm_lattice(J, lattice_budget):
         if mono_is_unit(a):
@@ -437,33 +419,51 @@ class InvariantReport:
     reg: int
     cohen_macaulay: bool
     hilbert_numerator: tuple
-    betti: BettiTable
+    pieces: tuple  # Betti tables of the variable-disjoint pieces
+
+    @cached_property
+    def betti(self) -> BettiTable:
+        """Betti table of S/J: the Kunneth product of the pieces' tables,
+        built on first use."""
+        if not self.pieces:
+            return BettiTable(self.n, {(0, unit_mono(self.n)): 1})
+        return reduce(kunneth_convolution, self.pieces)
 
 
-def invariant_report(J: MonomialIdeal, field=QQ, split: bool = True,
+def invariant_report(J: MonomialIdeal, field=QQ,
                      lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> InvariantReport:
-    """All invariants of S/J at once, with consistency enforced across the
-    Betti and Hilbert routes before anything is returned."""
-    table = betti_table(J, field=field, split=split, lattice_budget=lattice_budget)
-    dim = krull_dimension(J)
-    K = hilbert_numerator(J)
-    depth = table.depth
-    reg = table.reg
+    """All invariants of S/J at once. Each variable-disjoint piece is
+    computed directly and checked across the Betti and Hilbert routes
+    before the pieces are combined."""
+    tables = []
+    K = (1,)
+    codim = pd = reg = 0
+    for piece in support_components(J):
+        table = betti_table(piece, field=field, lattice_budget=lattice_budget)
+        piece_K = hilbert_numerator(piece)
+        piece_dim = krull_dimension(piece)
+        # Euler characteristic of the Betti table must reproduce the K-polynomial
+        alt = defaultdict(int)
+        for (i, a), v in table.entries.items():
+            alt[mono_degree(a)] += v if i % 2 == 0 else -v
+        alt_poly = _ptrim([alt[j] for j in range(max(alt, default=0) + 1)])
+        if alt_poly != piece_K:
+            raise InternalInvariantError(
+                f"Betti alternating sum {poly_format(alt_poly)} != K-polynomial "
+                f"{poly_format(piece_K)}")
+        # pole order at t=1 must equal the codimension
+        _, mult = _strip_unit_root(piece_K)
+        if mult != J.n - piece_dim:
+            raise InternalInvariantError(f"K-polynomial vanishes to order {mult} "
+                                         f"at t=1, but n - dim = {J.n - piece_dim}")
+        tables.append(table)
+        K = _pmul(K, piece_K)
+        codim += J.n - piece_dim
+        pd += table.pd
+        reg += table.reg
+    dim = J.n - codim
+    depth = J.n - pd
     if not 0 <= depth <= dim <= J.n:
         raise InternalInvariantError(
             f"impossible invariants: depth {depth}, dim {dim}, n {J.n}")
-    # Euler characteristic of the Betti table must reproduce the K-polynomial
-    alt = defaultdict(int)
-    for (i, a), v in table.entries.items():
-        alt[mono_degree(a)] += v if i % 2 == 0 else -v
-    alt_poly = _ptrim([alt[j] for j in range(max(alt, default=0) + 1)])
-    if alt_poly != K:
-        raise InternalInvariantError(
-            f"Betti alternating sum {poly_format(alt_poly)} != K-polynomial "
-            f"{poly_format(K)}")
-    # pole order at t=1 must equal the dimension
-    _, mult = _strip_unit_root(K)
-    if mult != J.n - dim:
-        raise InternalInvariantError(
-            f"K-polynomial vanishes to order {mult} at t=1, but n - dim = {J.n - dim}")
-    return InvariantReport(J.n, dim, depth, table.pd, reg, depth == dim, K, table)
+    return InvariantReport(J.n, dim, depth, pd, reg, depth == dim, K, tuple(tables))

@@ -43,7 +43,7 @@ def _verdict(capsys, k, ok, detail):
 
 @lru_cache(maxsize=None)
 def _depth_range(d):
-    return verify_depth_range(d, cross_check_direct=(d <= 2))
+    return verify_depth_range(d)
 
 
 def test_criterion_1_first_block(capsys):
@@ -202,7 +202,7 @@ def test_criterion_6_groebner_self_consistency(capsys):
         order = WeightOrder(tuple(rng.randint(1, 4) for _ in range(n)),
                             LexOrder(tuple(range(n))))
         gb = buchberger(ideal, order)
-        if not verify_gb(gb.elements, ideal, order).confirmed:
+        if not verify_gb(gb.elements, ideal, gb).confirmed:
             bad.append(f"self-check failed at instance {checked}")
             continue
         shuffled = list(gens)

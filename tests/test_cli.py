@@ -239,6 +239,12 @@ def test_missing_file_exit_code(capsys):
     assert "ideal file not found" in err
 
 
+def test_missing_lattice_file_exit_code(capsys):
+    code, out, err = run(capsys, "hibi", "--ideal", "nosuch.lattice")
+    assert code == 2 and out == ""
+    assert err == "error: lattice file not found: nosuch.lattice\n"
+
+
 def test_internal_invariant_exit_code(capsys, monkeypatch):
     def boom(*a, **k):
         raise InternalInvariantError("forced for the test")
@@ -246,6 +252,15 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "invariants", "--monomial", "x1^2", "--n", "2")
     assert code == 4
     assert "internal invariant violation" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def deep(*a, **k):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(cli, "invariant_report", deep)
+    code, out, err = run(capsys, "invariants", "--monomial", "x1^2", "--n", "2")
+    assert code == 4 and out == ""
+    assert err == "internal error: RecursionError('maximum recursion depth exceeded')\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -3,6 +3,8 @@ distributive lattices and their join-meet ideals."""
 
 import pytest
 
+import gbdepth.family as family
+import gbdepth.groebner as groebner
 from gbdepth.errors import LatticeError
 from gbdepth.family import (CORRECTION_NOTES, DistributiveLattice,
                             build_family, chain_lattice, claimed_basis,
@@ -51,7 +53,7 @@ def test_expected_initial_frozen():
 
 
 def test_verify_one_first_block():
-    rep0 = verify_one(1, 0, cross_check_direct=True)
+    rep0 = verify_one(1, 0)
     assert rep0.passed
     assert (rep0.gb_size, rep0.dim, rep0.depth, rep0.reg, rep0.pd) == (4, 1, 0, 2, 3)
     assert rep0.order_text == "weight:1,1,1;tie=lex"
@@ -62,7 +64,19 @@ def test_verify_one_first_block():
     assert rep1.passed
     assert (rep1.gb_size, rep1.depth, rep1.reg) == (3, 1, 1)
     assert rep1.order_text == "weight:1,2,2;tie=lex"
-    assert rep1.direct_agrees is None
+    assert rep1.direct_agrees is True
+
+
+def test_verify_one_runs_buchberger_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+    monkeypatch.setattr(family, "buchberger", counted)
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    assert verify_one(3, 1).passed
+    assert len(calls) == 1
 
 
 def test_verify_one_rejects_misprint():
@@ -119,6 +133,38 @@ def test_explore_orders_deterministic():
     # a different seed gives a different weight sequence
     c = explore_orders(fam.ideal, samples=30, seed=2)
     assert [r.weights for r in a.records] != [r.weights for r in c.records]
+
+
+def test_explore_orders_clamps_workers(monkeypatch):
+    """No more workers than CPUs or samples; the pool is a stub, so no
+    process starts."""
+    created = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(family, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(family.os, "cpu_count", lambda: 4)
+    ideal = build_family(1).ideal
+    serial = explore_orders(ideal, samples=3, seed=1)
+    assert explore_orders(ideal, samples=3, seed=1, jobs=64) == serial
+    explore_orders(ideal, samples=10, seed=1, jobs=64)
+    explore_orders(ideal, samples=10, seed=1, jobs=2)
+    assert created == [3, 4, 2]
+    monkeypatch.setattr(family.os, "cpu_count", lambda: None)
+    explore_orders(ideal, samples=10, seed=1, jobs=64)
+    explore_orders(ideal, samples=1, seed=1, jobs=64)
+    assert created == [3, 4, 2]
 
 
 def test_explore_orders_budget_skips():

@@ -133,23 +133,23 @@ def test_zero_ideal_and_empty_divisors():
 def test_verify_gb_confirms_and_refutes():
     fam = build_family(1)
     gb = buchberger(fam.ideal, W0)
-    good = verify_gb(gb.elements, fam.ideal, W0)
+    good = verify_gb(gb.elements, fam.ideal, gb)
     assert good.confirmed and not good.failures
 
     # dropping the completion element leaves S-pairs that do not reduce
     partial = [g for g in gb.elements if g != _poly("x2^3 - x3^3")]
-    bad = verify_gb(partial, fam.ideal, W0)
+    bad = verify_gb(partial, fam.ideal, gb)
     assert not bad.confirmed
     assert any(f.kind == "spair" for f in bad.failures)
 
     # an element outside the ideal is flagged by the membership check
     alien = list(gb.elements) + [_poly("x1 + x2")]
-    bad2 = verify_gb(alien, fam.ideal, W0)
+    bad2 = verify_gb(alien, fam.ideal, gb)
     assert any(f.kind == "membership" for f in bad2.failures)
     assert any("x1 + x2" in f.detail for f in bad2.failures)
 
     with_zero = list(gb.elements) + [R3.zero()]
-    bad3 = verify_gb(with_zero, fam.ideal, W0)
+    bad3 = verify_gb(with_zero, fam.ideal, gb)
     assert any(f.kind == "zero-element" for f in bad3.failures)
 
 
@@ -172,7 +172,7 @@ def test_prime_field_buchberger():
     fam = build_family(1, field=GF(32003))
     gb = buchberger(fam.ideal, W0)
     assert initial_ideal(gb).gens == ((1, 0, 1), (1, 1, 0), (2, 0, 0), (0, 3, 0))
-    ver = verify_gb(gb.elements, fam.ideal, W0)
+    ver = verify_gb(gb.elements, fam.ideal, gb)
     assert ver.confirmed
 
 

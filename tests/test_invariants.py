@@ -202,7 +202,26 @@ def test_betti_split_matches_direct():
         if not gens:
             continue
         J = MonomialIdeal(4, gens)
-        assert betti_table(J, split=True) == betti_table(J, split=False)
+        assert invariant_report(J).betti == betti_table(J)
+
+
+def test_invariant_report_combines_pieces_without_kunneth(monkeypatch):
+    """dim, pd, reg and the K-polynomial come from the pieces alone; the
+    Kunneth product is built only when the full Betti table is read."""
+    def refuse(a, b):
+        raise AssertionError("Kunneth product built")
+    monkeypatch.setattr(inv, "kunneth_convolution", refuse)
+    disconnected = MonomialIdeal(7, [(2, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0),
+                                     (1, 0, 1, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0, 0),
+                                     (0, 0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 0, 2, 0)])
+    for J in (disconnected, MonomialIdeal(3, [])):
+        rep = invariant_report(J)
+        direct = betti_table(J)
+        assert (rep.dim, rep.pd, rep.reg, rep.hilbert_numerator) == \
+            (krull_dimension(J), direct.pd, direct.reg, hilbert_numerator(J))
+    assert len(invariant_report(disconnected).pieces) == 3
+    assert invariant_report(MonomialIdeal(3, [])).betti == \
+        betti_table(MonomialIdeal(3, []))
 
 
 def test_kunneth_rejections():
