@@ -21,7 +21,7 @@ from .errors import BudgetExceededError, LatticeError
 from .groebner import (DEFAULT_PAIR_BUDGET, buchberger, initial_ideal,
                        verify_gb)
 from .invariants import (DEFAULT_LATTICE_BUDGET, betti_table,
-                         invariant_report, reg_via_h_polynomial)
+                         h_from_numerator, invariant_report)
 from .orders import LexOrder, WeightOrder, block_weight_order
 from .parsing import format_order
 from .rings import Ideal, MonomialIdeal, PolyRing, QQ, _is_prime
@@ -196,7 +196,10 @@ def verify_depth_range(d: int, *, misprinted: bool = False,
         reports = [worker(r) for r in levels]
     cert = reports[-1]
     cm_ok = cert.depth == d and cert.dim == d
-    reg_original = reg_via_h_polynomial(cert.initial, cm_certified=True, field=field)
+    # deg h of the r = d report's K-polynomial; h_from_numerator checks the
+    # pole order against the codimension
+    reg_original = len(h_from_numerator(cert.hilbert_numerator, cert.initial.n,
+                                        cert.dim)) - 1
     notes = CORRECTION_NOTES
     if misprinted:
         notes = notes + (

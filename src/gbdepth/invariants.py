@@ -172,15 +172,21 @@ def _strip_unit_root(K):
     return _ptrim(cur), mult
 
 
-def h_polynomial(J: MonomialIdeal) -> tuple:
-    """h-vector: K(t)/(1-t)^(n-dim). The division is always exact because the
-    Hilbert series has pole order exactly dim at t=1; checked here."""
-    d = krull_dimension(J)
-    h, mult = _strip_unit_root(hilbert_numerator(J))
-    if mult != J.n - d:
+def h_from_numerator(K, n: int, dim: int) -> tuple:
+    """h-vector K(t)/(1-t)^(n-dim) from the K-polynomial of S/J in n
+    variables. The division is always exact because the Hilbert series has
+    pole order exactly dim at t=1; checked here."""
+    h, mult = _strip_unit_root(K)
+    if mult != n - dim:
         raise InternalInvariantError(
-            f"K-polynomial vanishes to order {mult} at t=1, but n - dim = {J.n - d}")
+            f"K-polynomial vanishes to order {mult} at t=1, but n - dim = {n - dim}")
     return h
+
+
+def h_polynomial(J: MonomialIdeal) -> tuple:
+    """h-vector of S/J: K(t)/(1-t)^(n-dim)."""
+    d = krull_dimension(J)
+    return h_from_numerator(hilbert_numerator(J), J.n, d)
 
 
 def reg_via_h_polynomial(J: MonomialIdeal, cm_certified: bool = False, field=QQ) -> int:
@@ -452,10 +458,7 @@ def invariant_report(J: MonomialIdeal, field=QQ,
                 f"Betti alternating sum {poly_format(alt_poly)} != K-polynomial "
                 f"{poly_format(piece_K)}")
         # pole order at t=1 must equal the codimension
-        _, mult = _strip_unit_root(piece_K)
-        if mult != J.n - piece_dim:
-            raise InternalInvariantError(f"K-polynomial vanishes to order {mult} "
-                                         f"at t=1, but n - dim = {J.n - piece_dim}")
+        h_from_numerator(piece_K, J.n, piece_dim)
         tables.append(table)
         K = _pmul(K, piece_K)
         codim += J.n - piece_dim

@@ -5,6 +5,7 @@ import pytest
 
 import gbdepth.family as family
 import gbdepth.groebner as groebner
+import gbdepth.invariants as invariants
 from gbdepth.errors import LatticeError
 from gbdepth.family import (CORRECTION_NOTES, DistributiveLattice,
                             build_family, chain_lattice, claimed_basis,
@@ -103,6 +104,21 @@ def test_verify_depth_range_small():
     bad = verify_depth_range(1, misprinted=True)
     assert not bad.all_pass
     assert len(bad.notes) == 3
+
+
+def test_reg_original_reads_the_report(monkeypatch):
+    # the regularity certificate comes from the r = d report's K-polynomial,
+    # not from a Hilbert numerator of the whole, unsplit initial ideal
+    pieces = []
+    numerator = invariants.hilbert_numerator
+
+    def recorded(J):
+        pieces.append(len(invariants.support_components(J)))
+        return numerator(J)
+    monkeypatch.setattr(invariants, "hilbert_numerator", recorded)
+    res = verify_depth_range(3)
+    assert res.reg_original == 3
+    assert pieces and max(pieces) == 1
 
 
 def test_verify_depth_range_parallel_determinism():

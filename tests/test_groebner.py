@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+import gbdepth.groebner as groebner
 from gbdepth.errors import BudgetExceededError, OrderError
-from gbdepth.family import build_family
+from gbdepth.family import build_family, claimed_basis, verify_one
 from gbdepth.groebner import (buchberger, divmod_poly, ideal_member,
                               initial_ideal, normal_form, s_polynomial,
                               verify_gb)
 from gbdepth.orders import LexOrder, WeightOrder, block_weight_order
-from gbdepth.parsing import parse_inline_ideal, parse_polynomial
-from gbdepth.rings import GF, Ideal, PolyRing
+from gbdepth.parsing import (format_polynomial, parse_inline_ideal,
+                             parse_polynomial)
+from gbdepth.rings import GF, Ideal, PolyRing, coprime
 
 R3 = PolyRing(3)
 W0 = block_weight_order(1, 0)
@@ -151,6 +153,66 @@ def test_verify_gb_confirms_and_refutes():
     with_zero = list(gb.elements) + [R3.zero()]
     bad3 = verify_gb(with_zero, fam.ideal, gb)
     assert any(f.kind == "zero-element" for f in bad3.failures)
+
+
+def test_buchberger_keys_each_pair_once(monkeypatch):
+    # coprime cross-block pairs are never queued and each queued pair is
+    # keyed once; a scan over all pending pairs on every step made 69,923
+    # lcm calls at r = 0
+    calls = []
+    lcm = groebner.mono_lcm
+
+    def counted(u, v):
+        calls.append(None)
+        return lcm(u, v)
+    monkeypatch.setattr(groebner, "mono_lcm", counted)
+    for r in (0, 3, 7):
+        calls.clear()
+        gb = buchberger(build_family(7).ideal, block_weight_order(7, r))
+        assert frozenset(gb.elements) == frozenset(claimed_basis(7, r))
+        assert len(calls) < 500, (r, len(calls))
+
+
+def test_no_s_polynomial_of_coprime_pair(monkeypatch):
+    seen = []
+
+    def checked(f, g, order):
+        seen.append(coprime(f.leading_mono(order), g.leading_mono(order)))
+        return s_polynomial(f, g, order)
+    monkeypatch.setattr(groebner, "s_polynomial", checked)
+    for d, r in ((2, 0), (3, 1)):
+        fam = build_family(d)
+        gb = buchberger(fam.ideal, block_weight_order(d, r))
+        verify_gb(claimed_basis(d, r, misprinted=True), fam.ideal, gb)
+    assert seen and not any(seen)
+
+
+def test_verify_gb_spairs_match_all_pairs_oracle():
+    """Skipping coprime claimed pairs reports the same S-pair failures, in
+    the same order, as reducing every pair."""
+    for d, r in ((2, 0), (3, 1)):
+        fam = build_family(d)
+        order = block_weight_order(d, r)
+        gb = buchberger(fam.ideal, order)
+        claimed = list(claimed_basis(d, r, misprinted=True))
+        lms = [p.leading_mono(order) for p in claimed]
+        assert any(coprime(lms[i], lms[j])
+                   for j in range(len(claimed)) for i in range(j))
+        expected = []
+        for j in range(len(claimed)):
+            for i in range(j):
+                rem = normal_form(s_polynomial(claimed[i], claimed[j], order),
+                                  claimed, order)
+                if not rem.is_zero:
+                    expected.append(
+                        f"S({format_polynomial(claimed[i], order)}, "
+                        f"{format_polynomial(claimed[j], order)}) leaves "
+                        f"remainder {format_polynomial(rem, order)}")
+        got = [f.detail for f in verify_gb(claimed, fam.ideal, gb).failures
+               if f.kind == "spair"]
+        assert expected and got == expected
+    assert verify_one(3, 1).claimed_confirmed is True
+    assert verify_one(3, 1, misprinted=True).claimed_confirmed is False
 
 
 def test_pair_budget():

@@ -9,7 +9,8 @@ import gbdepth.invariants as inv
 from gbdepth.errors import (BudgetExceededError, InternalInvariantError,
                             NotCohenMacaulayError, RingMismatchError)
 from gbdepth.invariants import (BettiTable, SimplicialComplex, betti_table,
-                                h_polynomial, hilbert_numerator,
+                                h_from_numerator, h_polynomial,
+                                hilbert_numerator,
                                 hilbert_series_coeffs, invariant_report,
                                 krull_dimension, kunneth_convolution,
                                 lcm_lattice, poly_format,
@@ -84,6 +85,9 @@ def test_hilbert_series_counts_standard_monomials():
 def test_h_polynomial_and_poly_format():
     assert h_polynomial(INIT_R0) == (1, 2)
     assert h_polynomial(INIT_R1) == (1, 2)
+    assert h_from_numerator((1, 0, -3, 2), 3, 1) == (1, 2)
+    with pytest.raises(InternalInvariantError, match="vanishes to order"):
+        h_from_numerator((1, 0, -3, 2), 3, 0)
     assert poly_format((1, 0, -3, 2)) == "1 - 3*t^2 + 2*t^3"
     assert poly_format(()) == "0"
     assert poly_format((0, -1)) == "-t"
