@@ -1,7 +1,10 @@
 """Homological invariants of monomial quotients S/J.
 
 Betti numbers come from simplicial homology of upper Koszul complexes at
-the multidegrees of the lcm lattice; depth via the Auslander-Buchsbaum
+the multidegrees of the lcm lattice. Each complex is built from its
+facets, one bitmask per generator dividing x^a, and its boundary ranks
+come from elimination on +-1 pivots with a Bareiss fallback for whatever
+is left (linalg.matrix_rank). Depth via the Auslander-Buchsbaum
 formula (depth = n - pd), regularity as max(|a| - i) over nonzero
 beta_{i,a}, Krull dimension from minimal vertex covers of the generator
 supports, Hilbert series by the pivot-colon recursion. A report splits
@@ -207,62 +210,88 @@ def reg_via_h_polynomial(J: MonomialIdeal, cm_certified: bool = False, field=QQ)
 # simplicial complexes and upper Koszul homology
 
 
+def _maximal(masks):
+    """The inclusion-maximal masks among masks."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(m & f != m for f in kept):
+            kept.append(m)
+    return frozenset(kept)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Abstract complex on integer vertex labels; faces include the empty
-    face when nonvoid. The void complex (no faces at all) is allowed and is
-    distinct from the complex whose only face is empty."""
+    """Abstract complex on integer vertex labels, stored by its facets as
+    bitmasks over `vertices` (bit i is vertices[i]). Faces include the empty
+    face when nonvoid. The void complex (no facets at all) is allowed and
+    is distinct from the complex whose only face is empty (facet mask 0)."""
 
     vertices: tuple
-    faces: frozenset
+    facets: frozenset
 
     @classmethod
-    def from_faces(cls, vertices, faces, close: bool = True):
-        fs = set(frozenset(f) for f in faces)
-        if close:
-            closed = set()
-            for f in fs:
-                elems = sorted(f)
-                for k in range(len(elems) + 1):
-                    for combo in itertools.combinations(elems, k):
-                        closed.add(frozenset(combo))
-            fs = closed
-        return cls(tuple(vertices), frozenset(fs))
+    def from_faces(cls, vertices, faces):
+        """The complex generated by faces, each an iterable of vertices."""
+        vertices = tuple(vertices)
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
+        return cls(vertices, _maximal(sum(bit[v] for v in f) for f in faces))
 
     @property
     def is_void(self) -> bool:
-        return not self.faces
+        return not self.facets
+
+    def face_masks(self, budget=None) -> set:
+        """Every face as a bitmask: the submasks of the facets. Raises
+        BudgetExceededError("lattice", budget) once there are more than
+        budget faces."""
+        faces = set()
+        for f in self.facets:
+            if budget is not None and 1 << f.bit_count() > budget:
+                raise BudgetExceededError("lattice", budget)
+            sub = f
+            while True:
+                faces.add(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & f
+            if budget is not None and len(faces) > budget:
+                raise BudgetExceededError("lattice", budget)
+        return faces
+
+    @cached_property
+    def faces(self) -> frozenset:
+        """Every face as a frozenset of vertices."""
+        vs = self.vertices
+        return frozenset(frozenset(v for i, v in enumerate(vs) if m >> i & 1)
+                         for m in self.face_masks())
 
 
 def upper_koszul_complex(J: MonomialIdeal, a) -> SimplicialComplex:
-    """Faces are the squarefree sigma inside supp(a) with x^a / x^sigma in J.
-    Downward closed by construction. Degrees outside the lcm lattice are
-    legal input but carry no Betti numbers."""
+    """K^a: the squarefree sigma inside supp(a) with x^a / x^sigma in J.
+    It is the union of one full simplex per generator g dividing x^a, on
+    the variables v with a_v > g_v (Miller-Sturmfels, Thm 1.34), so its
+    facets are the inclusion-maximal such sets. Degrees outside the lcm
+    lattice are legal input but carry no Betti numbers."""
     a = tuple(a)
     if len(a) != J.n:
         raise RingMismatchError(f"degree {a} has {len(a)} exponents, expected {J.n}")
     supp = mono_support(a)
-    faces = set()
-    for k in range(len(supp) + 1):
-        for combo in itertools.combinations(supp, k):
-            reduced = list(a)
-            for v in combo:
-                reduced[v] -= 1
-            if J.contains_mono(tuple(reduced)):
-                faces.add(frozenset(combo))
-    return SimplicialComplex(supp, frozenset(faces))
+    masks = []
+    for g in J.gens:
+        if all(x <= y for x, y in zip(g, a)):
+            masks.append(sum(1 << i for i, v in enumerate(supp) if a[v] > g[v]))
+    return SimplicialComplex(supp, _maximal(masks))
 
 
-def reduced_homology_dims(C: SimplicialComplex, field=QQ) -> list:
+def reduced_homology_dims(C: SimplicialComplex, field=QQ, budget=None) -> list:
     """Reduced homology ranks, indexed by face cardinality: entry k is
-    dim of reduced H_(k-1). The void complex returns []."""
+    dim of reduced H_(k-1). The void complex returns []. More than budget
+    faces raise BudgetExceededError("lattice", budget)."""
     if C.is_void:
         return []
     by_card = defaultdict(list)
-    for f in C.faces:
-        by_card[len(f)].append(tuple(sorted(f)))
-    for k in by_card:
-        by_card[k].sort()
+    for f in C.face_masks(budget):
+        by_card[f.bit_count()].append(f)
     top = max(by_card)
     ranks = {}
     for k in range(1, top + 1):
@@ -270,9 +299,13 @@ def reduced_homology_dims(C: SimplicialComplex, field=QQ) -> list:
         cols = by_card[k]
         rows = [[0] * len(cols) for _ in lower]
         for c, face in enumerate(cols):
-            for pos in range(len(face)):
-                sub = face[:pos] + face[pos + 1:]
-                rows[lower[sub]][c] = -1 if pos % 2 else 1
+            sign = 1
+            rest = face
+            while rest:
+                low = rest & -rest
+                rows[lower[face ^ low]][c] = sign
+                sign = -sign
+                rest ^= low
         ranks[k] = matrix_rank(rows, field)
     return [len(by_card.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
             for k in range(top + 1)]
@@ -397,7 +430,8 @@ def support_components(J: MonomialIdeal) -> list:
 def betti_table(J: MonomialIdeal, field=QQ,
                 lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> BettiTable:
     """Multigraded Betti numbers of S/J via upper Koszul homology at lcm
-    lattice degrees, on the whole ideal at once (the direct route)."""
+    lattice degrees, on the whole ideal at once (the direct route). The
+    lattice budget bounds both the lattice and the faces of each complex."""
     if J.is_unit:
         raise ValueError("unit ideal: the quotient is the zero ring")
     unit = unit_mono(J.n)
@@ -405,7 +439,8 @@ def betti_table(J: MonomialIdeal, field=QQ,
     for a in lcm_lattice(J, lattice_budget):
         if mono_is_unit(a):
             continue
-        h = reduced_homology_dims(upper_koszul_complex(J, a), field)
+        h = reduced_homology_dims(upper_koszul_complex(J, a), field,
+                                  lattice_budget)
         for k, val in enumerate(h):
             if val:
                 entries[(k + 1, a)] = val

@@ -9,6 +9,7 @@ import pytest
 import gbdepth.cli as cli
 from gbdepth.cli import main
 from gbdepth.errors import InternalInvariantError
+from gbdepth.rings import MonomialIdeal
 
 IDEAL_FILE = "ideals/d1.ideal"
 LATTICE_FILE = "ideals/grid2x2.lattice"
@@ -277,3 +278,16 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["pass"] is True
+
+
+def test_invariants_squarefree_monomial_skips_face_loop(capsys, monkeypatch):
+    """x1*...*x20 has one complex, whose only face is empty: no membership
+    test over the 2^20 subsets of its support."""
+    def refuse(self, m):
+        raise AssertionError("contains_mono called")
+    monkeypatch.setattr(MonomialIdeal, "contains_mono", refuse)
+    mono = "*".join(f"x{i}" for i in range(1, 21))
+    code, payload, _ = run_json(capsys, "invariants", "--monomial", mono,
+                                "--n", "20", "--budget-lattice", "10")
+    assert code == 0
+    assert (payload["pd"], payload["reg"]) == (1, 19)

@@ -158,6 +158,47 @@ def test_upper_koszul_basics():
         upper_koszul_complex(J, (1, 1, 1))
 
 
+def test_upper_koszul_facets_match_definition():
+    """Faces built from facets against the definition: the subsets sigma of
+    supp(a) with x^(a - sigma) in J, at every lcm-lattice degree and at a
+    few degrees outside the lattice."""
+    rng = random.Random(23)
+    for trial in range(40):
+        J = _random_ideal(rng, n=4, max_gens=5, max_exp=1 if trial % 2 else 3)
+        outside = [tuple(rng.randint(0, 3) for _ in range(J.n)) for _ in range(4)]
+        for a in lcm_lattice(J) + outside:
+            supp = mono_support(a)
+            expected = set()
+            for k in range(len(supp) + 1):
+                for sigma in itertools.combinations(supp, k):
+                    reduced = tuple(e - (v in sigma) for v, e in enumerate(a))
+                    if J.contains_mono(reduced):
+                        expected.add(frozenset(sigma))
+            C = upper_koszul_complex(J, a)
+            assert C.faces == expected, (J.gens, a)
+            assert C.is_void == (not expected)
+
+
+def test_from_faces_void_and_empty_face():
+    assert SimplicialComplex.from_faces((0, 1), []).is_void
+    only_empty = SimplicialComplex.from_faces((0, 1), [()])
+    assert not only_empty.is_void
+    assert only_empty.faces == frozenset({frozenset()})
+    closed = SimplicialComplex.from_faces((5, 7), [(5,), (7, 5)])
+    assert closed.faces == {frozenset(), frozenset({5}), frozenset({7}),
+                            frozenset({5, 7})}
+
+
+def test_koszul_faces_count_against_lattice_budget():
+    # (x1^2, x1*x2*...*x6): a lattice of 4 degrees, but 33 faces at the top
+    J = MonomialIdeal(6, [(2, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)])
+    assert len(lcm_lattice(J, budget=10)) == 4
+    with pytest.raises(BudgetExceededError) as e:
+        betti_table(J, lattice_budget=10)
+    assert e.value.kind == "lattice"
+    assert betti_table(J, lattice_budget=33) == betti_table(J)
+
+
 def test_lcm_lattice_frozen_and_budget():
     J = MonomialIdeal(3, [(0, 2, 0), (0, 1, 1), (0, 0, 2)])
     lat = lcm_lattice(J)
