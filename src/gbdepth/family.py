@@ -14,10 +14,11 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import BudgetExceededError, LatticeError
+from .errors import BudgetExceededError, InternalInvariantError, LatticeError
 from .groebner import (DEFAULT_PAIR_BUDGET, buchberger, initial_ideal,
                        verify_gb)
 from .invariants import (DEFAULT_LATTICE_BUDGET, betti_table,
@@ -241,10 +242,115 @@ class ExplorationResult:
 def _explore_gb(ideal, pair_budget, weights):
     order = WeightOrder(weights, LexOrder(tuple(range(ideal.ring.n))))
     try:
-        gb = buchberger(ideal, order, pair_budget)
+        return None, buchberger(ideal, order, pair_budget)
     except BudgetExceededError as exc:
-        return ("budget", exc.kind, None, 0)
-    return ("ok", None, initial_ideal(gb), len(gb))
+        return exc.kind, None
+
+
+class _ConeCache:
+    """Reduced bases already computed under orders WeightOrder(w, lex), each
+    marked with the leading monomial of every element. An order that keeps
+    every mark of a basis leading lies in that basis's Groebner cone, and
+    the basis is then the reduced basis for that order too (Sturmfels,
+    Groebner Bases and Convex Polytopes, ch. 1-2), so the test is exact.
+    Marked polynomials are stored once, keyed by (polynomial, mark); a basis
+    holds ids into that table."""
+
+    def __init__(self):
+        self.ids = {}      # (polynomial, mark) -> id
+        self.tests = []    # id -> (sparse mark - t, mark >lex t) per other term t
+        self.bases = []    # (ids, (None, initial ideal, basis size))
+
+    def add(self, gb):
+        ids = []
+        for g, mark in zip(gb.elements, gb.leading_monos()):
+            if (g, mark) not in self.ids:
+                self.ids[g, mark] = len(self.tests)
+                self.tests.append(tuple(
+                    ([(v, a - b) for v, (a, b) in enumerate(zip(mark, t)) if a != b],
+                     mark > t)
+                    for t in g.coeffs if t != mark))
+            ids.append(self.ids[g, mark])
+        answer = (None, initial_ideal(gb), len(gb))
+        self.bases.append((ids, answer))
+        return answer
+
+    def lookup(self, weights):
+        """The answer of the first basis whose cone holds WeightOrder(weights,
+        lex), or None. Each mark is tested at most once per call."""
+        leading = {}
+        for ids, answer in self.bases:
+            for i in ids:
+                ok = leading.get(i)
+                if ok is None:
+                    ok = leading[i] = _mark_leads(self.tests[i], weights)
+                if not ok:
+                    break
+            else:
+                return answer
+        return None
+
+
+def _mark_leads(tests, weights):
+    # the mark beats each other term on weight, or ties on weight and wins on lex
+    for diff, lex_wins in tests:
+        w = sum(weights[v] * e for v, e in diff)
+        if w < 0 or (w == 0 and not lex_wins):
+            return False
+    return True
+
+
+def _cone_walk(ideal, weight_list, pair_budget, workers):
+    """(budget kind or None, initial ideal, basis size) per weight vector.
+    Sample i is answered from the cone cache exactly when its order lies in
+    the cone of a basis computed for some sample j < i; only the others run
+    buchberger, in waves of at most one per worker. Members of a wave are
+    checked again, in order, against the bases of the members before them,
+    so the answers do not depend on the number of workers."""
+    runner = partial(_explore_gb, ideal, pair_budget)
+    cache = _ConeCache()
+    out = [None] * len(weight_list)
+    pos = 0
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        mapper = pool.map if pool is not None else map
+        while pos < len(weight_list):
+            wave = []
+            while pos < len(weight_list) and len(wave) < workers:
+                out[pos] = cache.lookup(weight_list[pos])
+                if out[pos] is None:
+                    wave.append(pos)
+                pos += 1
+            results = list(mapper(runner, [weight_list[i] for i in wave]))
+            for k, (i, (kind, gb)) in enumerate(zip(wave, results)):
+                # the first member saw the cache as it still is
+                out[i] = cache.lookup(weight_list[i]) if k else None
+                if out[i] is None:
+                    out[i] = (kind, None, 0) if kind else cache.add(gb)
+    return out
+
+
+def _check_theorems(ideal, reports):
+    """Cross-check the reports of distinct initial ideals of one homogeneous
+    ideal: they share the Hilbert numerator, and the squarefree ones share
+    depth and regularity (Conca & Varbaro, Invent. Math. 2020). Both need
+    the standard grading: x1 - x2*x3 has the squarefree initial ideals (x1)
+    and (x2*x3), of regularity 0 and 1."""
+    if not reports or not ideal.is_homogeneous():
+        return
+    first = reports[0][1]
+    squarefree = [rep for init, rep in reports
+                  if all(e <= 1 for m in init.gens for e in m)]
+    for init, rep in reports:
+        if rep.hilbert_numerator != first.hilbert_numerator:
+            raise InternalInvariantError(
+                f"initial ideals {reports[0][0]!r} and {init!r} of a homogeneous "
+                "ideal have different Hilbert numerators")
+    for rep in squarefree[1:]:
+        if (rep.depth, rep.reg) != (squarefree[0].depth, squarefree[0].reg):
+            raise InternalInvariantError(
+                "two squarefree initial ideals differ in depth or regularity: "
+                f"{(squarefree[0].depth, squarefree[0].reg)} vs {(rep.depth, rep.reg)}")
 
 
 def explore_orders(ideal: Ideal, samples: int = 200, weight_bound: int = 5,
@@ -253,8 +359,10 @@ def explore_orders(ideal: Ideal, samples: int = 200, weight_bound: int = 5,
                    field=QQ, jobs: int = 1) -> ExplorationResult:
     """Sample uniform weight vectors in [1, weight_bound]^n (fixed seed,
     lex tie-break), compute each initial ideal and its invariants, and
-    deduplicate by initial ideal. Budget blowups are recorded as skipped,
-    never silently dropped. Output is a pure function of the arguments,
+    deduplicate by initial ideal. A sample whose order lies in the Groebner
+    cone of a basis already computed reuses it without a completion, so it
+    spends no pair budget. Budget blowups are recorded as skipped, never
+    silently dropped. Output is a pure function of the arguments,
     regardless of jobs."""
     if weight_bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {weight_bound}")
@@ -262,19 +370,14 @@ def explore_orders(ideal: Ideal, samples: int = 200, weight_bound: int = 5,
     rng = random.Random(seed)
     weight_list = [tuple(rng.randint(1, weight_bound) for _ in range(n))
                    for _ in range(samples)]
-    runner = partial(_explore_gb, ideal, pair_budget)
-    workers = min(jobs, os.cpu_count() or 1, samples)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(runner, weight_list, chunksize=8))
-    else:
-        raw = [runner(w) for w in weight_list]
+    workers = max(1, min(jobs, os.cpu_count() or 1, samples))
+    raw = _cone_walk(ideal, weight_list, pair_budget, workers)
     records = []
+    reports = []
     skipped = []
     seen = set()
-    for idx, (weights, res) in enumerate(zip(weight_list, raw)):
-        status, kind, init, gb_size = res
-        if status == "budget":
+    for idx, (weights, (kind, init, gb_size)) in enumerate(zip(weight_list, raw)):
+        if kind is not None:
             skipped.append((idx, weights, kind))
             continue
         if init in seen:
@@ -285,9 +388,11 @@ def explore_orders(ideal: Ideal, samples: int = 200, weight_bound: int = 5,
         except BudgetExceededError as exc:
             skipped.append((idx, weights, exc.kind))
             continue
+        reports.append((init, rep))
         order_text = format_order(WeightOrder(weights, LexOrder(tuple(range(n)))))
         records.append(ExplorationRecord(idx, weights, order_text, gb_size,
                                          init, rep.depth, rep.reg, rep.dim))
+    _check_theorems(ideal, reports)
     return ExplorationResult(n=n, samples=samples, records=tuple(records),
                              skipped=tuple(skipped))
 

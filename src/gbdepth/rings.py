@@ -447,27 +447,8 @@ class Polynomial:
         return not self.is_zero
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for mono, c in self._terms:
-            mono_s = format_mono(mono)
-            if mono_is_unit(mono):
-                chunk = f"{c}"
-            elif c == self.ring.field.one:
-                chunk = mono_s
-            elif c == -self.ring.field.one and isinstance(c, Fraction):
-                chunk = f"-{mono_s}"
-            else:
-                chunk = f"{c}*{mono_s}"
-            parts.append(chunk)
-        out = parts[0]
-        for chunk in parts[1:]:
-            if chunk.startswith("-"):
-                out += " - " + chunk[1:]
-            else:
-                out += " + " + chunk
-        return out
+        from .parsing import format_polynomial
+        return format_polynomial(self)
 
 
 class MonomialIdeal:

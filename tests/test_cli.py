@@ -1,12 +1,14 @@
 """Command line behavior: output shapes, exit codes, budgets, determinism."""
 
 import json
+from dataclasses import replace
 import subprocess
 import sys
 
 import pytest
 
 import gbdepth.cli as cli
+import gbdepth.family as family
 from gbdepth.cli import main
 from gbdepth.errors import InternalInvariantError
 from gbdepth.rings import MonomialIdeal
@@ -262,6 +264,42 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "invariants", "--monomial", "x1^2", "--n", "2")
     assert code == 4 and out == ""
     assert err == "internal error: RecursionError('maximum recursion depth exceeded')\n"
+
+
+def _bend_one_report(monkeypatch, field, value):
+    # the second report explore_orders asks for gets a wrong field
+    real = family.invariant_report
+    calls = []
+
+    def bent(J, **kwargs):
+        rep = real(J, **kwargs)
+        calls.append(J)
+        return replace(rep, **{field: value}) if len(calls) == 2 else rep
+    monkeypatch.setattr(family, "invariant_report", bent)
+
+
+def test_explore_numerator_mismatch_exits_4(capsys, monkeypatch):
+    _bend_one_report(monkeypatch, "hilbert_numerator", (1, -3, 2))
+    code, out, err = run(capsys, "explore", "--d", "1", "--samples", "20")
+    assert code == 4 and out == ""
+    assert err.startswith("internal invariant violation: initial ideals ")
+
+
+def test_hibi_squarefree_depth_mismatch_exits_4(capsys, monkeypatch):
+    # every initial ideal sampled here is squarefree
+    _bend_one_report(monkeypatch, "depth", 0)
+    code, out, err = run(capsys, "hibi", "--ideal", "ideals/divisors12.lattice",
+                         "--samples", "50")
+    assert code == 4 and out == ""
+    assert "squarefree initial ideals" in err
+
+
+def test_explore_inhomogeneous_skips_graded_checks(capsys):
+    # (x1) and (x2*x3) are both initial ideals, with regularity 0 and 1
+    code, out, _ = run(capsys, "explore", "--ideal", "x1 - x2*x3", "--n", "3",
+                       "--samples", "30")
+    assert code == 0
+    assert "reg=0" in out and "reg=1" in out
 
 
 def test_unknown_subcommand_exits_2():

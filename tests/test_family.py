@@ -1,12 +1,14 @@
 """Block family construction, depth-range verification, exploration,
 distributive lattices and their join-meet ideals."""
 
+from itertools import combinations
+
 import pytest
 
 import gbdepth.family as family
 import gbdepth.groebner as groebner
 import gbdepth.invariants as invariants
-from gbdepth.errors import LatticeError
+from gbdepth.errors import BudgetExceededError, LatticeError
 from gbdepth.family import (CORRECTION_NOTES, DistributiveLattice,
                             build_family, chain_lattice, claimed_basis,
                             divisor_lattice, expected_initial, explore_orders,
@@ -15,8 +17,8 @@ from gbdepth.family import (CORRECTION_NOTES, DistributiveLattice,
 from gbdepth.groebner import buchberger, initial_ideal
 from gbdepth.invariants import invariant_report
 from gbdepth.orders import LexOrder, WeightOrder
-from gbdepth.parsing import parse_polynomial
-from gbdepth.rings import mono_support
+from gbdepth.parsing import parse_ideal_text, parse_polynomial
+from gbdepth.rings import Ideal, MonomialIdeal, PolyRing, mono_support
 
 
 def test_build_family_shapes():
@@ -174,6 +176,7 @@ def test_explore_orders_clamps_workers(monkeypatch):
     ideal = build_family(1).ideal
     serial = explore_orders(ideal, samples=3, seed=1)
     assert explore_orders(ideal, samples=3, seed=1, jobs=64) == serial
+    assert explore_orders(ideal, samples=3, seed=1, jobs=0) == serial
     explore_orders(ideal, samples=10, seed=1, jobs=64)
     explore_orders(ideal, samples=10, seed=1, jobs=2)
     assert created == [3, 4, 2]
@@ -189,6 +192,120 @@ def test_explore_orders_budget_skips():
     assert not res.records
     assert len(res.skipped) == 5
     assert all(kind == "pairs" for _, _, kind in res.skipped)
+
+
+def _grid_minors():
+    # the nine 2-minors of a generic 3x3 matrix, entry (i, j) is x(3i + j + 1)
+    R = PolyRing(9)
+    x = lambda i, j: R.var(3 * i + j)
+    pairs = list(combinations(range(3), 2))
+    return Ideal(R, [x(a, c) * x(b, d) - x(a, d) * x(b, c)
+                     for a, b in pairs for c, d in pairs])
+
+
+# not homogeneous; orders in one Groebner cone can need different numbers of
+# S-pair reductions: (2,3,1) needs 5, (5,2,2) in the same cone needs 13
+MIXED = "vars: 3\nx1^2 - x2*x3\nx2^2 - x1*x3 + x3\nx1*x2 - x3^2\n"
+
+
+def _record_walk(monkeypatch):
+    """Wrap family._cone_walk and family.buchberger; returns the list of
+    (weights, answers) walks and the list of buchberger calls."""
+    walks, calls = [], []
+    walk = family._cone_walk
+
+    def recorded(ideal, weight_list, pair_budget, workers):
+        out = walk(ideal, weight_list, pair_budget, workers)
+        walks.append((weight_list, out))
+        return out
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+    monkeypatch.setattr(family, "_cone_walk", recorded)
+    monkeypatch.setattr(family, "buchberger", counted)
+    return walks, calls
+
+
+@pytest.mark.parametrize("ideal, samples", [(build_family(2).ideal, 200),
+                                            (_grid_minors(), 40)])
+def test_explore_orders_cone_cache_matches_buchberger(monkeypatch, ideal, samples):
+    walks, calls = _record_walk(monkeypatch)
+    res = explore_orders(ideal, samples=samples, seed=3)
+    [(weight_list, answers)] = walks
+    assert len(answers) == samples
+    lex = LexOrder(tuple(range(ideal.ring.n)))
+    for w, (kind, init, gb_size) in zip(weight_list, answers):
+        gb = buchberger(ideal, WeightOrder(w, lex))
+        assert kind is None
+        assert (init, gb_size) == (initial_ideal(gb), len(gb))
+    assert len(res.records) <= len(calls) < samples
+
+
+def test_explore_orders_budget_determinism():
+    ideal = parse_ideal_text(MIXED)
+    serial = explore_orders(ideal, samples=12, seed=4, pair_budget=8)
+    assert serial.records and serial.skipped
+    assert explore_orders(ideal, samples=12, seed=4, pair_budget=8, jobs=2) == serial
+
+
+def test_explore_orders_cached_sample_spends_no_budget(monkeypatch):
+    ideal = parse_ideal_text(MIXED)
+    walks, _ = _record_walk(monkeypatch)
+    res = explore_orders(ideal, samples=12, seed=4, pair_budget=8)
+    [(weight_list, answers)] = walks
+    over = set()
+    for i, w in enumerate(weight_list):
+        try:
+            buchberger(ideal, WeightOrder(w, LexOrder((0, 1, 2))), 8)
+        except BudgetExceededError:
+            over.add(i)
+    ran_out = [i for i, (kind, _, _) in enumerate(answers) if kind is not None]
+    assert [i for i, _, _ in res.skipped] == ran_out
+    # every skipped sample runs out on its own, and some that would run
+    # out were answered from the cache
+    assert set(ran_out) < over
+
+
+def test_cone_cache_keys_polynomial_with_its_mark():
+    # x1 + x2 is the reduced basis under every order, marked x1 or x2
+    R = PolyRing(2)
+    ideal = Ideal(R, [R.var(0) + R.var(1)])
+    cache = family._ConeCache()
+    for w in ((2, 1), (1, 2)):
+        cache.add(buchberger(ideal, WeightOrder(w, LexOrder((0, 1)))))
+    assert len(cache.tests) == 2
+    x1, x2 = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
+    assert cache.lookup((1, 3))[1] == x2
+    assert cache.lookup((3, 1))[1] == x1
+    assert cache.lookup((2, 2))[1] == x1  # a weight tie goes to lex
+
+
+def test_cone_walk_wave_rechecks_members(monkeypatch):
+    """Two orders in one cone sent in one wave: the second runs out of
+    budget, but the re-check answers it from the first one's basis, as the
+    serial walk does. The pool is a stub, so no process starts."""
+    class StubPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(family, "ProcessPoolExecutor", StubPool)
+    ideal = parse_ideal_text(MIXED)
+    with pytest.raises(BudgetExceededError):
+        buchberger(ideal, WeightOrder((5, 2, 2), LexOrder((0, 1, 2))), 5)
+    weights = [(2, 3, 1), (5, 2, 2)]
+    serial = family._cone_walk(ideal, weights, 5, 1)
+    assert family._cone_walk(ideal, weights, 5, 2) == serial
+    assert serial[0] == serial[1] and serial[1][0] is None
 
 
 def test_explore_orders_rejects_bad_bound():

@@ -66,6 +66,28 @@ def test_polynomial_ops():
     assert not p.is_homogeneous()
 
 
+def test_polynomial_repr():
+    # repr is format_polynomial in canonical term order; these strings are
+    # the output of the printer repr used to carry itself
+    expected = {
+        QQ: ["0", "1", "3", "-1", "x1", "-x1", "x1*x2 - x3^2 + 7",
+             "2*x1^2 - 3*x2 - 1", "-x1 + 4*x2 + x3 - 2",
+             "3/2*x1 - 1/2*x2 - 5/3"],
+        GF(5): ["0", "1", "3", "4", "x1", "4*x1", "x1*x2 + 4*x3^2 + 2",
+                "2*x1^2 + 2*x2 + 4", "4*x1 + 4*x2 + x3 + 3", "4*x1 + 2*x2"],
+    }
+    for field, texts in expected.items():
+        R = PolyRing(3, field)
+        x = R.var
+        one = R.monomial((0, 0, 0), 1)
+        polys = [R.zero(), one, one * 3, -one, x(0), -x(0),
+                 x(0) * x(1) - x(2) * x(2) + 7,
+                 x(0) * x(0) * 2 - x(1) * 3 - 1,
+                 x(2) - x(0) + x(1) * 4 - 2,
+                 x(0) * Fraction(3, 2) - x(1) * Fraction(1, 2) + Fraction(-5, 3)]
+        assert [repr(p) for p in polys] == texts
+
+
 def test_polynomial_merges_and_drops_zeros():
     R = PolyRing(2)
     p = R.poly([((1, 0), 2), ((1, 0), -2), ((0, 1), 1)])
