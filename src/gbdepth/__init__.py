@@ -15,8 +15,8 @@ from .groebner import (GroebnerBasis, GBVerification, buchberger, divmod_poly,
                        verify_gb)
 from .invariants import (BettiTable, InvariantReport, SimplicialComplex,
                          betti_table, h_polynomial, hilbert_numerator,
-                         hilbert_series_coeffs, invariant_report,
-                         krull_dimension, kunneth_convolution, lcm_lattice,
+                         invariant_report, krull_dimension,
+                         kunneth_convolution, lcm_lattice,
                          reduced_homology_dims, reg_via_h_polynomial,
                          upper_koszul_complex)
 from .taylor import taylor_betti_table

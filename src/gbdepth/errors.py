@@ -25,8 +25,8 @@ class ParseError(GBDepthError):
 
 
 class BudgetExceededError(GBDepthError):
-    """A configured work budget (S-pair reductions, lcm-lattice size or
-    faces of one Koszul complex) ran out."""
+    """A configured work budget (S-pair reductions, or the lcm-lattice
+    size, which also bounds the Koszul faces of one Betti table) ran out."""
 
     def __init__(self, kind, limit, message=None):
         super().__init__(message or f"{kind} budget of {limit} exceeded")

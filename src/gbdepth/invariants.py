@@ -2,13 +2,15 @@
 
 Betti numbers come from simplicial homology of upper Koszul complexes at
 the multidegrees of the lcm lattice. Each complex is built from its
-facets, one bitmask per generator dividing x^a, and its boundary ranks
-come from elimination on +-1 pivots with a Bareiss fallback for whatever
-is left (linalg.matrix_rank). Depth via the Auslander-Buchsbaum
-formula (depth = n - pd), regularity as max(|a| - i) over nonzero
-beta_{i,a}, Krull dimension from minimal vertex covers of the generator
-supports, Hilbert series by the pivot-colon recursion. A report splits
-the ideal into variable-disjoint pieces and combines their invariants.
+facets, one bitmask per generator dividing x^a, and cut down to its
+strong core before any face is listed: deleting dominated vertices keeps
+the homotopy type, so reduced homology over every field is unchanged.
+The core's boundary ranks come from elimination on +-1 pivots with a
+Bareiss fallback for whatever is left (linalg.matrix_rank). Depth via the
+Auslander-Buchsbaum formula (depth = n - pd), regularity as max(|a| - i)
+over nonzero beta_{i,a}, Krull dimension from minimal vertex covers of
+the generator supports, Hilbert series by the pivot-colon recursion. A
+report splits the ideal into variable-disjoint pieces and combines them.
 
 Every report runs structural cross-checks on each piece (Euler
 characteristic of the Betti table against the Hilbert numerator, pole
@@ -149,17 +151,6 @@ def hilbert_numerator(J: MonomialIdeal) -> tuple:
     return walk(J.gens)
 
 
-def hilbert_series_coeffs(J: MonomialIdeal, upto: int) -> list:
-    """Coefficients 0..upto of the Hilbert series K(t)/(1-t)^n, i.e. counts
-    of standard monomials by degree."""
-    import math
-
-    K = hilbert_numerator(J)
-    n = J.n
-    return [sum(K[k] * math.comb(n - 1 + j - k, n - 1) for k in range(min(j, len(K) - 1) + 1))
-            for j in range(upto + 1)]
-
-
 def _strip_unit_root(K):
     """Divide K by (1-t) as often as it divides exactly; returns (h, multiplicity)."""
     cur = list(K)
@@ -240,21 +231,19 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    def face_masks(self, budget=None) -> set:
+    def face_masks(self, budget=None, spent=0) -> set:
         """Every face as a bitmask: the submasks of the facets. Raises
-        BudgetExceededError("lattice", budget) once there are more than
-        budget faces."""
+        BudgetExceededError("lattice", budget) once spent plus the faces
+        listed exceed budget."""
         faces = set()
         for f in self.facets:
-            if budget is not None and 1 << f.bit_count() > budget:
-                raise BudgetExceededError("lattice", budget)
             sub = f
             while True:
                 faces.add(sub)
                 if not sub:
                     break
                 sub = (sub - 1) & f
-            if budget is not None and len(faces) > budget:
+            if budget is not None and spent + len(faces) > budget:
                 raise BudgetExceededError("lattice", budget)
         return faces
 
@@ -283,18 +272,48 @@ def upper_koszul_complex(J: MonomialIdeal, a) -> SimplicialComplex:
     return SimplicialComplex(supp, _maximal(masks))
 
 
-def reduced_homology_dims(C: SimplicialComplex, field=QQ, budget=None) -> list:
-    """Reduced homology ranks, indexed by face cardinality: entry k is
-    dim of reduced H_(k-1). The void complex returns []. More than budget
-    faces raise BudgetExceededError("lattice", budget)."""
+def _strong_core(facets) -> set:
+    """Facets of the strong core: while some vertex v is dominated (the
+    facets that contain v all share another vertex w), delete v. The link
+    of v is then a cone with apex w, so deleting v is a strong collapse
+    (Barmak-Minian 2012) and the core has the homotopy type of the
+    complex. Stops early at a single facet, a simplex."""
+    facets = set(facets)
+    vertices = reduce(int.__or__, facets, 0)
+    while len(facets) > 1 and vertices:
+        v = vertices & -vertices
+        vertices ^= v
+        if reduce(int.__and__, (f for f in facets if f & v)) != v:
+            facets = _maximal(f & ~v for f in facets)
+            vertices = reduce(int.__or__, facets, 0)
+    return facets
+
+
+def reduced_homology_dims(C: SimplicialComplex, field=QQ, budget=None,
+                          spent=None) -> list:
+    """Reduced homology ranks, indexed by face cardinality from 0 to the
+    largest facet of C: entry k is dim of reduced H_(k-1); [] if C is void.
+    Only the faces of C's strong core are listed and ranked. It has C's
+    homotopy type, so the same homology over every field, and a core that
+    is one simplex is acyclic. A facet of C with more than budget faces
+    raises BudgetExceededError("lattice", budget), as do more than budget
+    faces listed over the calls that share the one-item list spent."""
     if C.is_void:
         return []
+    top = max(f.bit_count() for f in C.facets)
+    if budget is not None and 1 << top > budget:
+        raise BudgetExceededError("lattice", budget)
+    core = _strong_core(C.facets)
+    if len(core) == 1 and 0 not in core:
+        return [0] * (top + 1)
+    spent = spent or [0]
+    faces = SimplicialComplex(C.vertices, core).face_masks(budget, spent[0])
+    spent[0] += len(faces)
     by_card = defaultdict(list)
-    for f in C.face_masks(budget):
+    for f in faces:
         by_card[f.bit_count()].append(f)
-    top = max(by_card)
     ranks = {}
-    for k in range(1, top + 1):
+    for k in range(1, max(by_card) + 1):
         lower = {f: i for i, f in enumerate(by_card[k - 1])}
         cols = by_card[k]
         rows = [[0] * len(cols) for _ in lower]
@@ -431,16 +450,17 @@ def betti_table(J: MonomialIdeal, field=QQ,
                 lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> BettiTable:
     """Multigraded Betti numbers of S/J via upper Koszul homology at lcm
     lattice degrees, on the whole ideal at once (the direct route). The
-    lattice budget bounds both the lattice and the faces of each complex."""
+    lattice budget bounds the lattice and the Koszul faces of all degrees."""
     if J.is_unit:
         raise ValueError("unit ideal: the quotient is the zero ring")
     unit = unit_mono(J.n)
     entries = {(0, unit): 1}
+    spent = [0]
     for a in lcm_lattice(J, lattice_budget):
         if mono_is_unit(a):
             continue
         h = reduced_homology_dims(upper_koszul_complex(J, a), field,
-                                  lattice_budget)
+                                  lattice_budget, spent)
         for k, val in enumerate(h):
             if val:
                 entries[(k + 1, a)] = val

@@ -1,7 +1,10 @@
 """Dimension, Hilbert series, Koszul homology, Betti tables, reports."""
 
 import itertools
+import math
 import random
+from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +13,7 @@ from gbdepth.errors import (BudgetExceededError, InternalInvariantError,
                             NotCohenMacaulayError, RingMismatchError)
 from gbdepth.invariants import (BettiTable, SimplicialComplex, betti_table,
                                 h_from_numerator, h_polynomial,
-                                hilbert_numerator,
-                                hilbert_series_coeffs, invariant_report,
+                                hilbert_numerator, invariant_report,
                                 krull_dimension, kunneth_convolution,
                                 lcm_lattice, poly_format,
                                 reduced_homology_dims, reg_via_h_polynomial,
@@ -73,7 +75,10 @@ def test_hilbert_series_counts_standard_monomials():
     rng = random.Random(17)
     for _ in range(20):
         J = _random_ideal(rng)
-        got = hilbert_series_coeffs(J, 6)
+        K = hilbert_numerator(J)
+        # K(t) / (1-t)^n, with 1/(1-t)^n = sum_j C(n-1+j, n-1) t^j
+        got = [sum(c * math.comb(J.n - 1 + deg - k, J.n - 1)
+                   for k, c in enumerate(K[:deg + 1])) for deg in range(7)]
         for deg in range(7):
             count = 0
             for mono in itertools.product(range(deg + 1), repeat=J.n):
@@ -136,6 +141,107 @@ def test_homology_depends_on_field():
     C = SimplicialComplex.from_faces(tuple(range(1, 7)), triangles)
     assert reduced_homology_dims(C) == [0, 0, 0, 0]
     assert reduced_homology_dims(C, GF(2)) == [0, 0, 1, 1]
+
+
+def _oracle_rank(rows, p=None):
+    """Rank by plain Gaussian elimination, over Q with Fractions or mod p."""
+    rows = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col] if p is None else pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv
+                rows[r] = [x - f * y if p is None else (x - f * y) % p
+                           for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_homology(C, p=None):
+    """Reduced homology ranks of C by face cardinality, from every face of
+    C and its full boundary matrices, with no collapse."""
+    if C.is_void:
+        return []
+    by_card = defaultdict(list)
+    for face in C.faces:
+        by_card[len(face)].append(tuple(sorted(face)))
+    top = max(by_card)
+
+    def rank(k):  # boundary from faces of cardinality k to k - 1
+        if not 1 <= k <= top:
+            return 0
+        index = {f: i for i, f in enumerate(by_card[k - 1])}
+        rows = [[0] * len(by_card[k]) for _ in index]
+        for c, face in enumerate(by_card[k]):
+            for i in range(len(face)):
+                rows[index[face[:i] + face[i + 1:]]][c] = (-1) ** i
+        return _oracle_rank(rows, p)
+
+    return [len(by_card[k]) - rank(k) - rank(k + 1) for k in range(top + 1)]
+
+
+def _assert_homology_matches_oracle(C):
+    for field, p in ((None, None), (GF(2), 2), (GF(3), 3)):
+        got = reduced_homology_dims(C) if field is None else reduced_homology_dims(C, field)
+        assert got == _oracle_homology(C, p), (C, p)
+
+
+def test_homology_matches_oracle_on_random_complexes():
+    """The collapsed route against full boundary ranks, on random facet
+    sets of up to 7 vertices over QQ, GF(2) and GF(3)."""
+    rng = random.Random(41)
+    shapes = set()
+    for _ in range(300):
+        nv = rng.randint(0, 7)
+        density = rng.choice((0.3, 0.5, 0.7))
+        facets = [[v for v in range(nv) if rng.random() < density]
+                  for _ in range(rng.randint(1, 6))]
+        C = SimplicialComplex.from_faces(range(nv), facets)
+        _assert_homology_matches_oracle(C)
+        shapes.add(len(inv._strong_core(C.facets)))
+    # both the simplex shortcut and cores of several facets were exercised
+    assert 1 in shapes and max(shapes) >= 3
+
+
+def test_homology_matches_oracle_on_koszul_complexes():
+    rng = random.Random(43)
+    for trial in range(40):
+        J = _random_ideal(rng, n=5, max_gens=6, max_exp=1 if trial % 2 else 3)
+        for a in lcm_lattice(J):
+            _assert_homology_matches_oracle(upper_koszul_complex(J, a))
+
+
+def test_collapsible_complexes_need_no_rank(monkeypatch):
+    """A path and a filled triangle collapse to a simplex, so no boundary
+    matrix is ranked. The hollow triangle and the six-vertex RP^2 have no
+    dominated vertex: their cores are the complexes themselves. A hollow
+    triangle with a tail 3-0-4 collapses to the triangle, although vertex
+    0 is dominated only once vertex 4 is gone."""
+    hollow = SimplicialComplex.from_faces((0, 1, 2), [(0, 1), (0, 2), (1, 2)])
+    tailed = SimplicialComplex.from_faces(range(5), [(1, 2), (1, 3), (2, 3),
+                                                     (0, 3), (0, 4)])
+    assert inv._strong_core(tailed.facets) == SimplicialComplex.from_faces(
+        range(5), [(1, 2), (1, 3), (2, 3)]).facets
+    rp2 = SimplicialComplex.from_faces(tuple(range(1, 7)), [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)])
+    assert inv._strong_core(hollow.facets) == hollow.facets
+    assert inv._strong_core(rp2.facets) == rp2.facets
+
+    def refuse(rows, field):
+        raise AssertionError("a collapsible complex reached matrix_rank")
+
+    monkeypatch.setattr(inv, "matrix_rank", refuse)
+    path = SimplicialComplex.from_faces((0, 1, 2, 3), [(0, 1), (1, 2), (2, 3)])
+    assert reduced_homology_dims(path) == [0, 0, 0]
+    assert reduced_homology_dims(path, GF(2)) == [0, 0, 0]
+    filled = SimplicialComplex.from_faces((0, 1, 2), [(0, 1, 2)])
+    assert reduced_homology_dims(filled) == [0, 0, 0, 0]
 
 
 def test_upper_koszul_basics():
@@ -326,3 +432,25 @@ def test_betti_alternating_sum_is_numerator():
 def test_prime_field_betti_agrees_here():
     for J in (INIT_R0, INIT_R1):
         assert betti_table(J, field=GF(32003)).entries == betti_table(J).entries
+
+
+def test_koszul_faces_count_over_all_degrees():
+    """The faces listed count against the lattice budget summed over all
+    degrees of one betti_table call. Each K^a of (x1, .., x4) is the
+    boundary of the simplex on supp(a), which has no dominated vertex: the
+    15 complexes list 4*1 + 6*3 + 4*7 + 15 = 65 faces, although the lattice
+    has 16 degrees and no facet spans more than 8 faces."""
+    J = MonomialIdeal(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    assert len(lcm_lattice(J, budget=64)) == 16
+    with pytest.raises(BudgetExceededError) as e:
+        betti_table(J, lattice_budget=64)
+    assert e.value.kind == "lattice" and e.value.limit == 64
+    assert betti_table(J, lattice_budget=65) == betti_table(J)
+    # only the faces of the core are listed: the top complex of
+    # (x1^2, x1*x2*...*x6) has 33 faces, its core (two points) 3
+    J6 = MonomialIdeal(6, [(2, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)])
+    top = upper_koszul_complex(J6, (2, 1, 1, 1, 1, 1))
+    assert len(top.face_masks()) == 33
+    spent = [0]
+    assert reduced_homology_dims(top, budget=33, spent=spent) == [0, 1, 0, 0, 0, 0]
+    assert spent == [3]
